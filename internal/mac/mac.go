@@ -21,7 +21,6 @@ package mac
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,15 +185,11 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 		owner   *cpe
 		arrived simtime.Stamp
 	}
-	var delays []time.Duration
-	var queue []*job // FIFO across CPEs
-
-	record := func(arrived, done simtime.Stamp, warmup simtime.Stamp) {
-		if arrived >= warmup {
-			delays = append(delays, time.Duration(done-arrived))
-		}
-	}
-	warmup := simtime.Stamp(p.SimFrames/10) * simtime.Stamp(p.FrameDuration)
+	warmupFrames := p.SimFrames / 10
+	warmup := simtime.Stamp(warmupFrames) * simtime.Stamp(p.FrameDuration)
+	// Sized for the expected number of post-warmup deliveries.
+	delays := make([]time.Duration, 0, int(util*float64(p.SlotsPerFrame*(p.SimFrames-warmupFrames)))+1)
+	var queue []job // FIFO across CPEs
 
 	var arrive func(now simtime.Stamp)
 	arrive = func(now simtime.Stamp) {
@@ -203,10 +198,15 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 			c.contending = true
 		}
 		c.backlog++
-		queue = append(queue, &job{owner: c, arrived: now})
+		queue = append(queue, job{owner: c, arrived: now})
 		sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
 	}
 	sched.After(time.Duration(r.Exponential(meanInterarrival)), arrive)
+
+	// Per-frame scratch, reused across frames: the contender list and the
+	// CPEs picking each reservation slot.
+	var contenders []*cpe
+	slotPick := make([][]*cpe, p.ReservationSlots)
 
 	frameNo := 0
 	var frame func(now simtime.Stamp)
@@ -217,7 +217,7 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 		}
 		// Stabilized slotted-Aloha: contenders transmit with probability
 		// R/n̂ and pick a random reservation slot; sole occupants win.
-		var contenders []*cpe
+		contenders = contenders[:0]
 		for _, c := range cpes {
 			if c.contending {
 				contenders = append(contenders, c)
@@ -228,13 +228,17 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 			if n > p.ReservationSlots {
 				pTx = float64(p.ReservationSlots) / float64(n)
 			}
-			slotPick := make(map[int][]*cpe, p.ReservationSlots)
+			for s := range slotPick {
+				slotPick[s] = slotPick[s][:0]
+			}
 			for _, c := range contenders {
 				if r.Bool(pTx) {
 					s := r.IntN(p.ReservationSlots)
 					slotPick[s] = append(slotPick[s], c)
 				}
 			}
+			// Winners' grant events commute (each touches only its own
+			// CPE), so visiting slots in order changes no outcome.
 			for _, cs := range slotPick {
 				if len(cs) == 1 {
 					winner := cs[0]
@@ -265,7 +269,9 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 				for retries := 0; retries < p.MaxARQRetries && r.Bool(fer); retries++ {
 					done += simtime.Stamp(p.HopRTT) + simtime.Stamp(p.FrameDuration)
 				}
-				record(j.arrived, done, warmup)
+				if j.arrived >= warmup {
+					delays = append(delays, time.Duration(done-j.arrived))
+				}
 			} else {
 				rest = append(rest, j)
 			}
@@ -292,7 +298,9 @@ func SimulateAccessDelay(p Params, util, fer float64, seed uint64) *dist.Empiric
 	return distill(delays, p)
 }
 
-// distill reduces raw delay samples to an empirical quantile table.
+// distill reduces raw delay samples to an empirical quantile table. It
+// reorders delays in place: each level's order statistic is found by
+// selection, which leaves exactly the value a full sort would put there.
 func distill(delays []time.Duration, p Params) *dist.Empirical {
 	if len(delays) == 0 {
 		// Pathological (e.g. zero offered load): a flat half-frame.
@@ -300,11 +308,14 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 		e, _ := dist.NewEmpirical([]float64{0.25, 0.75}, []float64{half, half})
 		return e
 	}
-	sort.Slice(delays, func(i, j int) bool { return delays[i] < delays[j] })
-	values := make([]float64, len(tableLevels))
+	ranks := make([]int, len(tableLevels))
 	for i, q := range tableLevels {
-		idx := int(q * float64(len(delays)-1))
-		values[i] = float64(delays[idx])
+		ranks[i] = int(q * float64(len(delays)-1))
+	}
+	selectRanks(delays, 0, ranks)
+	values := make([]float64, len(tableLevels))
+	for i, k := range ranks {
+		values[i] = float64(delays[k])
 	}
 	// Enforce monotonicity against duplicate quantile collapses.
 	for i := 1; i < len(values); i++ {
@@ -317,6 +328,55 @@ func distill(delays []time.Duration, p Params) *dist.Empirical {
 		panic("mac: distill produced invalid empirical: " + err.Error())
 	}
 	return e
+}
+
+// selectRanks partially orders a so that a[k-base] holds the k-th
+// smallest element of a for every k in ranks (ascending, each in
+// [base, base+len(a))): a multi-target quickselect with a three-way
+// partition, so runs of equal delays cost one pass instead of degrading
+// the recursion.
+func selectRanks(a []time.Duration, base int, ranks []int) {
+	for len(ranks) > 0 && len(a) > 1 {
+		// Median-of-three pivot.
+		x, y, z := a[0], a[len(a)/2], a[len(a)-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		pivot := y
+		// a[:lt] < pivot, a[lt:i] == pivot, a[gt:] > pivot.
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		// Ranks below lt recurse left; ranks at or past gt continue on
+		// the right; ranks in [lt, gt) already hold the pivot.
+		lo := 0
+		for lo < len(ranks) && ranks[lo]-base < lt {
+			lo++
+		}
+		hi := lo
+		for hi < len(ranks) && ranks[hi]-base < gt {
+			hi++
+		}
+		selectRanks(a[:lt], base, ranks[:lo])
+		a, base, ranks = a[gt:], base+gt, ranks[hi:]
+	}
 }
 
 // Model interpolates access-delay distributions over a precomputed

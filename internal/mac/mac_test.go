@@ -3,6 +3,7 @@ package mac
 import (
 	"io"
 	"satwatch/internal/trace"
+	"sort"
 	"testing"
 	"time"
 
@@ -237,5 +238,37 @@ func TestPrebuildWarmsFullGrid(t *testing.T) {
 	}
 	if warm.GridSize() <= 0 {
 		t.Fatal("grid size not reported")
+	}
+}
+
+// TestSelectRanksMatchesSort checks the multi-rank selection against a
+// full sort on inputs with heavy ties, runs and reversed order.
+func TestSelectRanksMatchesSort(t *testing.T) {
+	r := dist.NewRand(12)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.IntN(400)
+		a := make([]time.Duration, n)
+		for i := range a {
+			switch trial % 3 {
+			case 0:
+				a[i] = time.Duration(r.IntN(5)) // mostly ties
+			case 1:
+				a[i] = time.Duration(n - i) // descending
+			default:
+				a[i] = time.Duration(r.IntN(1 << 20))
+			}
+		}
+		sorted := append([]time.Duration(nil), a...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		var ranks []int
+		for _, q := range tableLevels {
+			ranks = append(ranks, int(q*float64(n-1)))
+		}
+		selectRanks(a, 0, ranks)
+		for _, k := range ranks {
+			if a[k] != sorted[k] {
+				t.Fatalf("trial %d (n=%d): rank %d holds %v, sorted %v", trial, n, k, a[k], sorted[k])
+			}
+		}
 	}
 }

@@ -671,10 +671,11 @@ func RunContext(ctx context.Context, cfg Config) (*Output, error) {
 	}
 
 	// --- MAC grid pre-build ----------------------------------------------
-	// Build every (util, FER) access-delay cell in parallel before fanning
-	// out, so no pass-B worker ever stalls on a lazy micro-simulation (the
-	// first rainy flow used to build its FER cell under a global lock).
-	// Cells live in a process-wide cache, so repeated runs skip this.
+	// Build every (util, FER) access-delay cell before fanning out, on up
+	// to `workers` builders (serially at Parallelism 1), so no pass-B
+	// worker ever stalls on a lazy micro-simulation (the first rainy flow
+	// used to build its FER cell under a global lock). Cells live in a
+	// process-wide cache, so repeated runs skip this.
 	startPre := time.Now()
 	macModel := mac.NewModel(cfg.MAC)
 	allocPre := prof.Stage(ctx, prof.StageMACPrebuild, func(context.Context) {

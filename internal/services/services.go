@@ -17,10 +17,7 @@
 // popularity analysis; Classify matches any of them.
 package services
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
 // Category is a service category of §3.1.
 type Category string
@@ -49,8 +46,40 @@ type Service struct {
 	// appear as third parties (YouTube embeds, Facebook buttons) are not.
 	Intentional bool
 
-	patterns []*regexp.Regexp
+	patterns []literal
 	raw      []string
+}
+
+// literal is one Table 3 pattern compiled to a string test.
+type literal struct {
+	s      string
+	prefix bool // anchored by ^
+	suffix bool // anchored by $
+}
+
+func (l literal) match(domain string) bool {
+	switch {
+	case l.prefix && l.suffix:
+		return domain == l.s
+	case l.prefix:
+		return strings.HasPrefix(domain, l.s)
+	case l.suffix:
+		return strings.HasSuffix(domain, l.s)
+	}
+	return strings.Contains(domain, l.s)
+}
+
+// compileLiteral turns a Table 3 regular expression into a literal test.
+// It accepts an optional leading ^, an optional trailing $ and, in
+// between, literal characters and escaped dots; anything else would need
+// a real regexp engine, so it panics.
+func compileLiteral(re string) literal {
+	body, prefix := strings.CutPrefix(re, "^")
+	body, suffix := strings.CutSuffix(body, "$")
+	if strings.ContainsAny(strings.ReplaceAll(body, `\.`, ""), `\.+*?()[]{}|^$`) {
+		panic("services: pattern " + re + " is not a plain literal")
+	}
+	return literal{s: strings.ReplaceAll(body, `\.`, "."), prefix: prefix, suffix: suffix}
 }
 
 // Patterns returns the service's regular expressions as written (the
@@ -63,19 +92,28 @@ func (s *Service) Patterns() []string {
 
 // Match reports whether domain belongs to this service.
 func (s *Service) Match(domain string) bool {
-	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
-	for _, re := range s.patterns {
-		if re.MatchString(domain) {
+	return s.match(normalize(domain))
+}
+
+// match is Match on an already normalized domain.
+func (s *Service) match(domain string) bool {
+	for _, l := range s.patterns {
+		if l.match(domain) {
 			return true
 		}
 	}
 	return false
 }
 
+// normalize lower-cases a domain and drops one trailing root dot.
+func normalize(domain string) string {
+	return strings.ToLower(strings.TrimSuffix(domain, "."))
+}
+
 func svc(name string, cat Category, intentional bool, patterns ...string) *Service {
 	s := &Service{Name: name, Category: cat, Intentional: intentional, raw: patterns}
 	for _, p := range patterns {
-		s.patterns = append(s.patterns, regexp.MustCompile(p))
+		s.patterns = append(s.patterns, compileLiteral(p))
 	}
 	return s
 }
@@ -145,8 +183,9 @@ func Intentional() []*Service {
 // Classify maps a domain to its service, by first match. ok is false for
 // domains belonging to none of the tracked services.
 func Classify(domain string) (service *Service, ok bool) {
+	domain = normalize(domain)
 	for _, s := range registry {
-		if s.Match(domain) {
+		if s.match(domain) {
 			return s, true
 		}
 	}

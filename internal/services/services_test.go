@@ -159,3 +159,16 @@ func TestSecondLevel(t *testing.T) {
 		}
 	}
 }
+
+func TestCompileLiteralRejectsRegexps(t *testing.T) {
+	for _, re := range []string{`foo+`, `a.b`, `^(a|b)$`, `x*`, `[ab]`, `a\d`, `a\$`, `a$b`} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("pattern %q compiled as a literal", re)
+				}
+			}()
+			compileLiteral(re)
+		}()
+	}
+}

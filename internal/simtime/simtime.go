@@ -7,7 +7,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -25,32 +24,22 @@ type item struct {
 	fn  Event
 }
 
-type eventHeap []*item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's total order: by instant, then by scheduling order.
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*item)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
 // Scheduler is a discrete-event simulator clock plus pending-event queue.
-// The zero value is ready to use.
+// The queue is a binary min-heap of values, so a warmed scheduler
+// schedules and fires events without allocating. The zero value is ready
+// to use.
 type Scheduler struct {
 	now   Stamp
 	seq   uint64
-	queue eventHeap
+	queue []item
 }
 
 // Now returns the current simulated time.
@@ -66,7 +55,8 @@ func (s *Scheduler) At(at Stamp, fn Event) {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.queue, &item{at: at, seq: s.seq, fn: fn})
+	s.queue = append(s.queue, item{at: at, seq: s.seq, fn: fn})
+	s.up(len(s.queue) - 1)
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -80,13 +70,51 @@ func (s *Scheduler) After(d time.Duration, fn Event) {
 // Step runs the single earliest pending event, advancing the clock to its
 // timestamp. It reports false when no events are pending.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	n := len(s.queue) - 1
+	if n < 0 {
 		return false
 	}
-	it := heap.Pop(&s.queue).(*item)
+	it := s.queue[0]
+	s.queue[0] = s.queue[n]
+	s.queue[n] = item{} // drop the callback reference
+	s.queue = s.queue[:n]
+	s.down(0)
 	s.now = it.at
 	it.fn(s.now)
 	return true
+}
+
+// up restores the heap order from leaf i towards the root.
+func (s *Scheduler) up(i int) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// down restores the heap order from node i towards the leaves.
+func (s *Scheduler) down(i int) {
+	q := s.queue
+	n := len(q)
+	for {
+		least := 2*i + 1
+		if least >= n {
+			return
+		}
+		if r := least + 1; r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if !q[least].before(&q[i]) {
+			return
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // Run executes events until the queue is empty.

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -111,5 +113,79 @@ func TestStepOnEmpty(t *testing.T) {
 	var s Scheduler
 	if s.Step() {
 		t.Fatal("Step on empty queue returned true")
+	}
+}
+
+// TestSchedulerMatchesStableSort drives random At/After interleavings,
+// with events scheduling more events and many same-instant ties, and
+// requires the firing order to equal a stable sort of every scheduled
+// event by instant (stability = scheduling order, the seq tie-break).
+func TestSchedulerMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var s Scheduler
+		type ev struct {
+			id int
+			at Stamp
+		}
+		var scheduled []ev
+		var fired []int
+		var schedule func(at Stamp)
+		schedule = func(at Stamp) {
+			id := len(scheduled)
+			scheduled = append(scheduled, ev{id, at})
+			s.At(at, func(now Stamp) {
+				if now != at {
+					t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, id, now, at)
+				}
+				fired = append(fired, id)
+				// Children land on a coarse grid so ties are common,
+				// including zero-delay ties with the current instant.
+				for k := r.Intn(3); k > 0 && len(scheduled) < 2000; k-- {
+					schedule(now + Stamp(r.Intn(4))*time.Millisecond)
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			schedule(s.Now() + Stamp(r.Intn(8))*time.Millisecond)
+			switch r.Intn(4) {
+			case 0:
+				s.Step()
+			case 1:
+				s.RunUntil(s.Now() + Stamp(r.Intn(3))*time.Millisecond)
+			}
+		}
+		s.Run()
+
+		want := append([]ev(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: fired %d of %d events", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i].id {
+				t.Fatalf("seed %d: position %d fired event %d, want %d", seed, i, fired[i], want[i].id)
+			}
+		}
+	}
+}
+
+// TestSchedulerWarmNoAllocs checks that once the queue has grown, At plus
+// Step allocate nothing.
+func TestSchedulerWarmNoAllocs(t *testing.T) {
+	var s Scheduler
+	nop := func(Stamp) {}
+	for i := 0; i < 64; i++ {
+		s.After(time.Duration(i), nop)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+time.Millisecond, nop)
+		s.At(s.Now()+time.Millisecond, nop)
+		s.Step()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm At+Step allocated %.1f times per run", allocs)
 	}
 }
